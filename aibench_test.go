@@ -6,6 +6,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"aibench"
 )
@@ -185,6 +186,45 @@ func TestPlanRunnerPublicAPI(t *testing.T) {
 		if _, ok := aibench.RunReportKind(n); !ok {
 			t.Errorf("RunReportKind does not know %q", n)
 		}
+	}
+}
+
+// TestRatingsSessionsFinishSeed12 is the regression test for the
+// Ratings sampler hang: with base seed 12, DC-AI-C10's interaction
+// generator has a user with no item past the positive threshold, and
+// the old rejection loop never returned. Both Ratings-fed benchmarks
+// must now finish a quasi-entire session.
+func TestRatingsSessionsFinishSeed12(t *testing.T) {
+	runner, err := aibench.NewSuite().NewRunner(aibench.Plan{
+		Kind: aibench.RunSession, Session: aibench.QuasiEntireSession,
+		Benchmarks: []string{"DC-AI-C10", "MLPerf-RC"}, Seed: 12, Epochs: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan *aibench.RunResult, 1)
+	go func() {
+		res, err := runner.Run(context.Background(), nil)
+		if err != nil {
+			t.Error(err)
+		}
+		done <- res
+	}()
+	select {
+	case res := <-done:
+		if res == nil {
+			return
+		}
+		if len(res.Sessions) != 2 {
+			t.Fatalf("%d sessions, want 2", len(res.Sessions))
+		}
+		for _, s := range res.Sessions {
+			if s.Error != "" || s.Epochs != 1 {
+				t.Errorf("%s: epochs %d error %q", s.ID, s.Epochs, s.Error)
+			}
+		}
+	case <-time.After(60 * time.Second):
+		t.Fatal("seed-12 Ratings sessions still running after 60s: sampler hang")
 	}
 }
 

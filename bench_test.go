@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"aibench"
+	"aibench/internal/autograd"
 	"aibench/internal/core"
 	"aibench/internal/gpusim"
 	"aibench/internal/tensor"
@@ -316,6 +317,7 @@ func BenchmarkMatMul(b *testing.B) {
 					rng := rand.New(rand.NewSource(7))
 					x := tensor.Randn(rng, 0, 1, sh.m, sh.k)
 					y := tensor.Randn(rng, 0, 1, sh.k, sh.n)
+					b.ReportAllocs()
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
 						tensor.MatMul(x, y)
@@ -337,9 +339,33 @@ func BenchmarkConv2D(b *testing.B) {
 			x := tensor.Randn(rng, 0, 1, 8, 32, 32, 32)
 			w := tensor.Randn(rng, 0, 1, 64, 32, 3, 3)
 			p := tensor.Conv2DParams{Kernel: 3, Stride: 1, Padding: 1}
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				tensor.Conv2D(x, w, p)
+			}
+		})
+	}
+}
+
+// BenchmarkConv2DBackward measures one autograd convolution step —
+// forward, then the input and weight gradients — under each compute
+// kernel at BenchmarkConv2D's geometry. B/op shows the backward pass's
+// intermediates: the input gradient's column matrix, and whatever
+// packing the weight gradient allocates.
+func BenchmarkConv2DBackward(b *testing.B) {
+	for _, kname := range benchKernels() {
+		underKernel(b, kname, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(7))
+			x := autograd.Var(tensor.Randn(rng, 0, 1, 8, 32, 32, 32))
+			w := autograd.Var(tensor.Randn(rng, 0, 1, 64, 32, 3, 3))
+			p := tensor.Conv2DParams{Kernel: 3, Stride: 1, Padding: 1}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				x.ZeroGrad()
+				w.ZeroGrad()
+				autograd.Sum(autograd.Conv2D(x, w, p)).Backward()
 			}
 		})
 	}
@@ -354,6 +380,7 @@ func BenchmarkSuiteScaled(b *testing.B) {
 	cfg := aibench.SessionConfig{Kind: aibench.QuasiEntireSession, MaxEpochs: 1, Seed: 42}
 	b.Run("serial-loop", func(b *testing.B) {
 		suite := aibench.NewSuite()
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			for _, bench := range suite.All() {
 				c := cfg
@@ -372,6 +399,7 @@ func BenchmarkSuiteScaled(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := runner.Run(context.Background(), nil); err != nil {
 					b.Fatal(err)

@@ -46,7 +46,7 @@ func cmdServe(args []string) {
 	fmt.Printf("aibench serve: suite %s listening on %s (workers=%d queue=%d cache=%d)\n",
 		srv.SuiteSHA(), ln.Addr(), *workers, *queueCap, *cacheCap)
 
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := newHTTPServer(srv.Handler(), readHeaderTimeout, idleTimeout)
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 
@@ -70,6 +70,23 @@ func cmdServe(args []string) {
 		fmt.Fprintf(os.Stderr, "aibench serve: http shutdown: %v\n", err)
 	}
 	fmt.Fprintln(os.Stderr, "aibench serve: stopped")
+}
+
+// Connection timeouts of `aibench serve`. A client gets
+// readHeaderTimeout to send its request headers and an idle keep-alive
+// connection is closed after idleTimeout, so clients that stall or
+// linger cannot pin connections forever. There is deliberately no
+// write or whole-request timeout: a job's NDJSON stream lasts as long
+// as its run.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps h in an http.Server with the given header-read
+// and idle timeouts.
+func newHTTPServer(h http.Handler, readHeader, idle time.Duration) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeader, IdleTimeout: idle}
 }
 
 // cmdSubmit posts one Plan to a running `aibench serve` and streams

@@ -10,21 +10,18 @@ func Conv2D(a, w *Value, p tensor.Conv2DParams) *Value {
 	return newNode("conv2d", out, func(g *tensor.Tensor) {
 		n, c, h, wd := a.Data.Dim(0), a.Data.Dim(1), a.Data.Dim(2), a.Data.Dim(3)
 		outC := w.Data.Dim(0)
-		// Rearrange grad from NCHW to (n*oh*ow) × outC to invert the
-		// GEMM; NCHWToMat routes through the kernel layer's parallel
-		// gate, so big backward passes split across cores like the
-		// forward convolution does.
-		gmat := tensor.NCHWToMat(g)
-		wmat := w.Data.Reshape(outC, c*p.Kernel*p.Kernel)
 		if a.requiresGrad {
-			// dCols = G·W, then fold back with col2im.
+			// dCols = G·W, then fold back with col2im. NCHWToMat puts
+			// the grad in (n*oh*ow) × outC GEMM layout through the
+			// kernel layer's parallel gate.
+			gmat := tensor.NCHWToMat(g)
+			wmat := w.Data.Reshape(outC, c*p.Kernel*p.Kernel)
 			dcols := tensor.MatMul(gmat, wmat)
 			a.accumGrad(tensor.Col2Im(dcols, n, c, h, wd, p))
 		}
 		if w.requiresGrad {
-			// dW = Gᵀ·Cols.
-			cols := tensor.Im2Col(a.Data, p)
-			dw := tensor.TMatMul(gmat, cols)
+			// dW = Gᵀ·Cols, packed straight from NCHW g and a.
+			dw := tensor.Conv2DWeightGrad(a.Data, g, p)
 			w.accumGrad(dw.Reshape(w.Data.Shape()...))
 		}
 	}, a, w)

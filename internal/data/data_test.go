@@ -2,8 +2,10 @@ package data
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"aibench/internal/tensor"
 )
@@ -329,6 +331,117 @@ func TestRatingsTrainBatchBalanced(t *testing.T) {
 	}
 	if pos != 10 {
 		t.Fatalf("positives %d, want 10", pos)
+	}
+}
+
+// finishes fails the test when fn is still running after 10s — a
+// regression of the sampler hang fails instead of stalling the suite.
+func finishes(t *testing.T, what string, fn func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		fn()
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("%s still running after 10s", what)
+	}
+}
+
+// TestRatingsFallbackWhenNoItemQualifies: with a single item no user
+// can have both a positive (affinity > 0.5) and a negative (< −0.5),
+// so plain rejection sampling spins forever on one of them. The
+// samplers must fall back to the user's best/worst item instead.
+func TestRatingsFallbackWhenNoItemQualifies(t *testing.T) {
+	r := NewRatings(61, 5, 1, 3)
+	finishes(t, "TrainBatch", func() {
+		_, items, labels := r.TrainBatch(20)
+		for k, i := range items {
+			if i != 0 || labels[k] != float64(1-k%2) {
+				t.Errorf("triple %d: item %d label %v", k, i, labels[k])
+			}
+		}
+	})
+	finishes(t, "EvalCase", func() {
+		for u := 0; u < r.Users; u++ {
+			trueItem, cands := r.EvalCase(u, 4)
+			if trueItem != 0 || len(cands) != 5 {
+				t.Errorf("user %d: true %d candidates %v", u, trueItem, cands)
+			}
+		}
+	})
+
+	// A user whose best item misses the positive threshold gets it as
+	// its positive, one whose worst item misses the negative threshold
+	// gets that as its negative, and neither draws from the RNG.
+	r, twin := NewRatings(67, 40, 6, 2), NewRatings(67, 40, 6, 2)
+	fallbacks := 0
+	for u := 0; u < r.Users; u++ {
+		for _, c := range []struct {
+			fallback int
+			ok       func(float64) bool
+		}{
+			{r.heldOut[u], func(a float64) bool { return a > 0.5 }},
+			{r.worst[u], func(a float64) bool { return a < -0.5 }},
+		} {
+			if c.ok(r.affinity(u, c.fallback)) {
+				continue
+			}
+			fallbacks++
+			if got := r.sample(u, c.fallback, c.ok); got != c.fallback {
+				t.Fatalf("user %d: sampled %d, want fallback %d", u, got, c.fallback)
+			}
+		}
+	}
+	if fallbacks == 0 {
+		t.Fatal("every user has qualifying items: pick another generator seed")
+	}
+	if r.rng.Int63() != twin.rng.Int63() {
+		t.Fatal("a fallback drew from the RNG")
+	}
+}
+
+// TestRatingsSamplerStreamUnchanged replays plain rejection sampling —
+// the sampler before the fallback existed — on a generator where every
+// user has qualifying items, and demands the same triples, candidates
+// and RNG position: the fallback must not move any terminating seed.
+func TestRatingsSamplerStreamUnchanged(t *testing.T) {
+	r, ref := NewRatings(53, 8, 40, 4), NewRatings(53, 8, 40, 4)
+	for u := 0; u < r.Users; u++ {
+		if r.affinity(u, r.heldOut[u]) <= 0.5 || r.affinity(u, r.worst[u]) >= -0.5 {
+			t.Fatalf("user %d lacks a qualifying item: pick another generator seed", u)
+		}
+	}
+	users, items, labels := r.TrainBatch(64)
+	for k := range users {
+		u := ref.rng.Intn(ref.Users)
+		var i int
+		for {
+			i = ref.rng.Intn(ref.Items)
+			if a := ref.affinity(u, i); (k%2 == 0 && a > 0.5) || (k%2 == 1 && a < -0.5) {
+				break
+			}
+		}
+		if users[k] != u || items[k] != i || labels[k] != float64(1-k%2) {
+			t.Fatalf("triple %d: (%d,%d,%v), plain rejection gives (%d,%d)", k, users[k], items[k], labels[k], u, i)
+		}
+	}
+	for u := 0; u < r.Users; u++ {
+		_, cands := r.EvalCase(u, 9)
+		want := []int{ref.heldOut[u]}
+		for len(want) < 10 {
+			if i := ref.rng.Intn(ref.Items); i != ref.heldOut[u] && ref.affinity(u, i) < 0 {
+				want = append(want, i)
+			}
+		}
+		if !reflect.DeepEqual(cands, want) {
+			t.Fatalf("user %d candidates %v, plain rejection gives %v", u, cands, want)
+		}
+	}
+	if r.rng.Int63() != ref.rng.Int63() {
+		t.Fatal("RNG streams diverged")
 	}
 }
 

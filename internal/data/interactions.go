@@ -15,7 +15,10 @@ type Ratings struct {
 	itemF        [][]float64
 	// heldOut[u] is the test positive for user u (leave-one-out protocol).
 	heldOut []int
-	rng     *rand.Rand
+	// worst[u] is user u's lowest-affinity item other than heldOut[u]
+	// (heldOut[u] itself when there is no other item).
+	worst []int
+	rng   *rand.Rand
 }
 
 // NewRatings builds the latent-factor interaction generator.
@@ -36,8 +39,16 @@ func NewRatings(seed int64, users, items, dim int) *Ratings {
 		userF: mk(users), itemF: mk(items), rng: rng,
 	}
 	r.heldOut = make([]int, users)
+	r.worst = make([]int, users)
 	for u := range r.heldOut {
-		r.heldOut[u] = r.BestItem(u)
+		best := r.BestItem(u)
+		worst := best
+		for i := 0; i < items; i++ {
+			if i != best && (worst == best || r.affinity(u, i) < r.affinity(u, worst)) {
+				worst = i
+			}
+		}
+		r.heldOut[u], r.worst[u] = best, worst
 	}
 	return r
 }
@@ -63,8 +74,12 @@ func (r *Ratings) BestItem(u int) int {
 }
 
 // TrainBatch draws n (user, item, label) triples with balanced
-// positives/negatives. A pair is positive when its ground-truth affinity
-// is in the user's top quartile.
+// positives/negatives: a positive is a uniformly drawn item with
+// ground-truth affinity above 0.5, a negative one below −0.5. A user
+// with no item past a threshold would make that rejection loop spin
+// forever, so such a user gets its best (positive) or worst (negative)
+// item instead, with no draw; every user that has a qualifying item
+// draws the same stream as plain rejection sampling.
 func (r *Ratings) TrainBatch(n int) (users, items []int, labels []float64) {
 	users = make([]int, n)
 	items = make([]int, n)
@@ -73,32 +88,42 @@ func (r *Ratings) TrainBatch(n int) (users, items []int, labels []float64) {
 		u := r.rng.Intn(r.Users)
 		users[k] = u
 		if k%2 == 0 {
-			// Positive: sample until we find a top-affinity item.
-			for {
-				i := r.rng.Intn(r.Items)
-				if r.affinity(u, i) > 0.5 {
-					items[k], labels[k] = i, 1
-					break
-				}
-			}
+			labels[k] = 1
+			items[k] = r.sample(u, r.heldOut[u], func(a float64) bool { return a > 0.5 })
 		} else {
-			for {
-				i := r.rng.Intn(r.Items)
-				if r.affinity(u, i) < -0.5 {
-					items[k], labels[k] = i, 0
-					break
-				}
-			}
+			items[k] = r.sample(u, r.worst[u], func(a float64) bool { return a < -0.5 })
 		}
 	}
 	return users, items, labels
 }
 
+// sample rejection-samples an item i for user u with ok(affinity(u, i)),
+// or returns fallback without drawing when even fallback — the item
+// most likely to pass — fails ok, since then no item can pass.
+func (r *Ratings) sample(u, fallback int, ok func(float64) bool) int {
+	if !ok(r.affinity(u, fallback)) {
+		return fallback
+	}
+	for {
+		if i := r.rng.Intn(r.Items); ok(r.affinity(u, i)) {
+			return i
+		}
+	}
+}
+
 // EvalCase returns the leave-one-out evaluation instance for a user: the
-// held-out true item and negatives sampled from low-affinity items.
+// held-out true item and negatives sampled from the other items with
+// negative affinity. When the user has no such item, every negative is
+// its lowest-affinity other item, with no draw.
 func (r *Ratings) EvalCase(u, negatives int) (trueItem int, candidates []int) {
 	trueItem = r.heldOut[u]
 	candidates = []int{trueItem}
+	if r.affinity(u, r.worst[u]) >= 0 || r.worst[u] == trueItem {
+		for len(candidates) < negatives+1 {
+			candidates = append(candidates, r.worst[u])
+		}
+		return trueItem, candidates
+	}
 	for len(candidates) < negatives+1 {
 		i := r.rng.Intn(r.Items)
 		if i != trueItem && r.affinity(u, i) < 0 {

@@ -120,6 +120,26 @@ func Conv2D(x, weight *Tensor, p Conv2DParams) *Tensor {
 	return ActiveKernels().Conv2D(x, weight, p)
 }
 
+// Conv2DWeightGrad returns the weight gradient of Conv2D(x, w, p) given
+// the NCHW output gradient g: the outC×(c·k·k) matrix
+// TMatMul(NCHWToMat(g), Im2Col(x)), bit for bit, under every kernel.
+// The GEBP kernels pack both operands straight from NCHW instead of
+// materializing the two matrices. It counts as the one TMatMul it
+// replaces, with the same FLOPs, so kernel telemetry is unchanged.
+func Conv2DWeightGrad(x, g *Tensor, p Conv2DParams) *Tensor {
+	if len(x.shape) != 4 || len(g.shape) != 4 {
+		panic(fmt.Sprintf("tensor: Conv2DWeightGrad requires NCHW operands, got %v and %v", x.shape, g.shape))
+	}
+	oh, ow := p.OutDim(x.shape[2]), p.OutDim(x.shape[3])
+	if oh <= 0 || ow <= 0 || g.shape[0] != x.shape[0] || g.shape[2] != oh || g.shape[3] != ow {
+		panic(fmt.Sprintf("tensor: Conv2DWeightGrad gradient %v incompatible with input %v params %+v", g.shape, x.shape, p))
+	}
+	pixels := int64(x.shape[0]) * int64(oh) * int64(ow)
+	telemetry.CountKernel(telemetry.OpTMatMul,
+		2*int64(g.shape[1])*pixels*int64(x.shape[1])*int64(p.Kernel)*int64(p.Kernel))
+	return ActiveKernels().Conv2DWeightGrad(x, g, p)
+}
+
 // matToNCHW rearranges a (n*oh*ow) × c matrix whose rows run
 // (img,oy,ox) into an NCHW tensor. Every (img,pix) row writes a
 // disjoint column of the output, so rows parallelize cleanly behind
@@ -146,7 +166,10 @@ func NCHWToMat(g *Tensor) *Tensor {
 	if len(g.shape) != 4 {
 		panic(fmt.Sprintf("tensor: NCHWToMat requires NCHW input, got %v", g.shape))
 	}
-	threshold := ActiveKernels().ParallelThreshold()
+	return nchwToMat(g, ActiveKernels().ParallelThreshold())
+}
+
+func nchwToMat(g *Tensor, threshold int) *Tensor {
 	n, c, oh, ow := g.shape[0], g.shape[1], g.shape[2], g.shape[3]
 	plane := oh * ow
 	out := New(n*plane, c)

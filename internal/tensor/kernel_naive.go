@@ -103,3 +103,10 @@ func (nk naiveKernels) Conv2D(x, weight *Tensor, p Conv2DParams) *Tensor {
 	prod := nk.MatMulT(cols, wmat)                    // (n*oh*ow) × outC
 	return matToNCHW(prod, n, outC, oh, ow, t)
 }
+
+// Conv2DWeightGrad is the reference composition: materialize both GEMM
+// operands, then TMatMul.
+func (nk naiveKernels) Conv2DWeightGrad(x, g *Tensor, p Conv2DParams) *Tensor {
+	t := nk.ParallelThreshold()
+	return nk.TMatMul(nchwToMat(g, t), im2col(x, p, t))
+}

@@ -420,13 +420,16 @@ func tunedGemm(apack, bpack []float64, m, n, K int, cfg TileConfig, threshold in
 	return out
 }
 
-// tunedGemmOp packs both operands through the config's panel shapes
-// and runs the tuned engine; the three GEMM entry points differ only
-// in their load closures.
+// tunedGemmOp packs both operands through the config's panel shapes,
+// runs the tuned engine and recycles the packs; the three GEMM entry
+// points differ only in their load closures.
 func tunedGemmOp(m, n, K int, loadA func(r, k int) float64, loadB func(k, c int) float64, cfg TileConfig, threshold int) *Tensor {
 	apack := packA(m, K, cfg.MR, threshold, loadA)
 	bpack := packB(n, K, cfg.NR, threshold, loadB)
-	return tunedGemm(apack, bpack, m, n, K, cfg, threshold)
+	out := tunedGemm(apack, bpack, m, n, K, cfg, threshold)
+	putScratch(apack)
+	putScratch(bpack)
+	return out
 }
 
 func (tunedKernels) MatMul(a, b *Tensor) *Tensor {
@@ -477,68 +480,29 @@ func (tunedKernels) Conv2D(x, weight *Tensor, p Conv2DParams) *Tensor {
 	return tunedConv2D(x, weight, p, t.Conv, t.Threshold)
 }
 
-// tunedConv2D is the blocked kernel's chunked im2col-GEMM generalized
-// over the config: each task unfolds a chunk of output pixels straight
-// into packed MR-row panels and multiplies against the once-packed
-// weight panels. The chunk length rounds convRowChunk up to a multiple
-// of cfg.MR so chunks pack into whole panels.
-func tunedConv2D(x, weight *Tensor, p Conv2DParams, cfg TileConfig, threshold int) *Tensor {
-	n, c, h, w := x.shape[0], x.shape[1], x.shape[2], x.shape[3]
-	outC := weight.shape[0]
-	oh, ow := p.OutDim(h), p.OutDim(w)
-	if oh <= 0 || ow <= 0 {
-		panic("tensor: Conv2D output would be empty")
-	}
-	kk := p.Kernel
-	K := c * kk * kk
-	rows := n * oh * ow
-	plane := oh * ow
-	micro := microFor(cfg)
-	pmr := cfg.MR
-	chunk := (convRowChunk + pmr - 1) / pmr * pmr
-	wd := weight.Data // outC×K row-major; logical B = wmatᵀ (K×outC)
-	wpack := packB(outC, K, cfg.NR, threshold, func(k, oc int) float64 { return wd[oc*K+k] })
-
-	out := New(n, outC, oh, ow)
-	chunks := (rows + chunk - 1) / chunk
-	parGate(threshold, chunks, rows*K*outC, func(ci int) {
-		lo := ci * chunk
-		hi := min(rows, lo+chunk)
-		cr := hi - lo
-		panels := (cr + pmr - 1) / pmr
-		apack := make([]float64, panels*K*pmr) // zero = padded taps and rows
-		for r := 0; r < cr; r++ {
-			row := lo + r
-			img := row / plane
-			oy := row / ow % oh
-			ox := row % ow
-			di := (r/pmr)*K*pmr + r%pmr
-			for ch := 0; ch < c; ch++ {
-				xbase := (img*c + ch) * h * w
-				for ky := 0; ky < kk; ky++ {
-					iy := oy*p.Stride - p.Padding + ky
-					for kx := 0; kx < kk; kx++ {
-						ix := ox*p.Stride - p.Padding + kx
-						if iy >= 0 && iy < h && ix >= 0 && ix < w {
-							apack[di] = x.Data[xbase+iy*w+ix]
-						}
-						di += pmr
-					}
-				}
-			}
-		}
-		scratch := make([]float64, cr*outC)
-		tunedTile(apack, wpack, K, cr, outC, scratch, outC, cfg, micro)
-		for r := 0; r < cr; r++ {
-			row := lo + r
-			img, pix := row/plane, row%plane
-			src := scratch[r*outC : (r+1)*outC]
-			for oc := 0; oc < outC; oc++ {
-				out.Data[(img*outC+oc)*plane+pix] = src[oc]
-			}
-		}
-	})
+// Conv2DWeightGrad is the blocked kernel's direct-from-NCHW weight
+// gradient under the config the tuned TMatMul would pick for the same
+// (outC × pixels) · (pixels × c·k·k) product.
+func (tunedKernels) Conv2DWeightGrad(x, g *Tensor, p Conv2DParams) *Tensor {
+	t := ActiveTuning()
+	m, n, K := convGradDims(x, g, p)
+	cfg := t.gemmFor(m, K, n)
+	apack := packConvGradA(g, cfg.MR, t.Threshold)
+	bpack := packIm2ColB(x, p, cfg.NR, t.Threshold)
+	out := tunedGemm(apack, bpack, m, n, K, cfg, t.Threshold)
+	putScratch(apack)
+	putScratch(bpack)
 	return out
+}
+
+// tunedConv2D is the blocked kernel's chunked im2col-GEMM under the
+// config's panel shapes and micro-kernel.
+func tunedConv2D(x, weight *Tensor, p Conv2DParams, cfg TileConfig, threshold int) *Tensor {
+	micro := microFor(cfg)
+	return chunkedConv2D(x, weight, p, cfg.MR, cfg.NR, threshold,
+		func(apack, bpack []float64, K, rows, cols int, dst []float64, ldc int) {
+			tunedTile(apack, bpack, K, rows, cols, dst, ldc, cfg, micro)
+		})
 }
 
 // TunedMatMul runs (m×k)·(k×n) through the tuned engine under an

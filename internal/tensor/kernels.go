@@ -46,6 +46,10 @@ type Kernels interface {
 	Outer(a, b *Tensor) *Tensor
 	// Conv2D convolves NCHW x with OIKK weights → N×O×outH×outW.
 	Conv2D(x, w *Tensor, p Conv2DParams) *Tensor
+	// Conv2DWeightGrad computes a convolution's weight gradient from
+	// its NCHW input x and NCHW output gradient g: the outC×(c·k·k)
+	// product TMatMul(NCHWToMat(g), Im2Col(x)), bitwise.
+	Conv2DWeightGrad(x, g *Tensor, p Conv2DParams) *Tensor
 }
 
 // EnvKernel is the environment variable consulted at startup to select
